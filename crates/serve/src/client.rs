@@ -53,6 +53,8 @@ pub struct Client<T: Transport> {
     frames: FrameReader<T::Reader>,
     writer: T::Writer,
     scratch: BytesMut,
+    /// Decoded ids of the current results chunk, reused across replies.
+    ids: Vec<IntervalId>,
 }
 
 impl<T: Transport> Client<T> {
@@ -64,6 +66,7 @@ impl<T: Transport> Client<T> {
             frames: FrameReader::new(reader),
             writer,
             scratch: BytesMut::new(),
+            ids: Vec::new(),
         })
     }
 
@@ -108,7 +111,6 @@ impl<T: Transport> Client<T> {
         &mut self,
         mut on_ids: impl FnMut(&[IntervalId]),
     ) -> Result<Reply, ClientError> {
-        let mut chunk: Vec<IntervalId> = Vec::new();
         loop {
             let frame: Frame = match self.frames.read_frame() {
                 Ok(Some(f)) => f,
@@ -126,12 +128,12 @@ impl<T: Transport> Client<T> {
                     if !p.remaining().is_multiple_of(8) {
                         return Err(ClientError::Decode(DecodeError::Frame(Status::BadLength)));
                     }
-                    chunk.clear();
-                    chunk.reserve(p.remaining() / 8);
+                    self.ids.clear();
+                    self.ids.reserve(p.remaining() / 8);
                     while p.has_remaining() {
-                        chunk.push(p.get_u64_le());
+                        self.ids.push(p.get_u64_le());
                     }
-                    on_ids(&chunk);
+                    on_ids(&self.ids);
                 }
                 Kind::End => {
                     let mut p = frame.payload;

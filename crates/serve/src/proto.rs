@@ -759,9 +759,17 @@ impl Frame {
     }
 }
 
+/// Size of a [`FrameReader`]'s read-ahead buffer.
+const READ_AHEAD: usize = 64 * 1024;
+
 /// Incremental frame reader over any blocking byte stream.
 ///
-/// Reads exactly one frame per [`read_frame`](Self::read_frame) call;
+/// Returns one frame per [`read_frame`](Self::read_frame) call, but
+/// reads ahead through an internal 64 KiB buffer: one `read()` takes in
+/// every frame that has already arrived, so pipelined frames cost one
+/// system call between them rather than two each. A payload too large
+/// for the buffer is read straight into its own allocation.
+///
 /// EOF *between* frames is a clean close (`Ok(None)`), EOF *inside* a
 /// frame is [`DecodeError::Io`]. Unknown-but-plausible headers (valid
 /// magic/version/length, unknown kind byte) skip their payload and
@@ -769,22 +777,81 @@ impl Frame {
 /// from a newer client does not kill the connection.
 pub struct FrameReader<R: Read> {
     inner: R,
+    buf: Box<[u8]>,
+    /// Buffered bytes not yet consumed: `buf[start..end]`.
+    start: usize,
+    end: usize,
 }
 
 impl<R: Read> FrameReader<R> {
     /// Wraps a byte stream.
     pub fn new(inner: R) -> Self {
-        Self { inner }
+        Self {
+            inner,
+            buf: vec![0u8; READ_AHEAD].into_boxed_slice(),
+            start: 0,
+            end: 0,
+        }
+    }
+
+    fn buffered(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// Reads until at least `want` (≤ [`READ_AHEAD`]) bytes are
+    /// buffered. `Ok(false)` on EOF with nothing buffered; EOF with a
+    /// partial frame buffered is `UnexpectedEof`.
+    fn fill(&mut self, want: usize) -> io::Result<bool> {
+        if self.buffered() >= want {
+            return Ok(true);
+        }
+        // move the partial frame to the front so each read can take
+        // a full buffer's worth
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        while self.buffered() < want {
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.buffered() == 0 => return Ok(false),
+                Ok(0) => return Err(truncated()),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+
+    /// Takes `len` payload bytes: from the buffer when they fit in it,
+    /// otherwise the buffered prefix plus a direct read of the rest.
+    fn payload(&mut self, len: usize) -> io::Result<Vec<u8>> {
+        if len <= self.buf.len() {
+            if !self.fill(len)? {
+                return Err(truncated());
+            }
+            let payload = self.buf[self.start..self.start + len].to_vec();
+            self.start += len;
+            return Ok(payload);
+        }
+        let mut payload = vec![0u8; len];
+        let have = self.buffered();
+        payload[..have].copy_from_slice(&self.buf[self.start..self.end]);
+        self.start = 0;
+        self.end = 0;
+        self.inner.read_exact(&mut payload[have..])?;
+        Ok(payload)
     }
 
     /// Reads the next frame. `Ok(None)` on clean EOF.
     pub fn read_frame(&mut self) -> Result<Option<Frame>, DecodeError> {
-        let mut header = [0u8; HEADER_LEN];
-        match read_exact_or_eof(&mut self.inner, &mut header) {
+        match self.fill(HEADER_LEN) {
             Ok(false) => return Ok(None), // clean EOF at a frame boundary
             Ok(true) => {}
             Err(e) => return Err(DecodeError::Io(e)),
         }
+        let mut header = [0u8; HEADER_LEN];
+        header.copy_from_slice(&self.buf[self.start..self.start + HEADER_LEN]);
+        self.start += HEADER_LEN;
         if header[0] != MAGIC {
             return Err(DecodeError::Desync(Status::BadMagic));
         }
@@ -795,10 +862,7 @@ impl<R: Read> FrameReader<R> {
         if len > MAX_PAYLOAD {
             return Err(DecodeError::Desync(Status::Oversized));
         }
-        let mut payload = vec![0u8; len as usize];
-        self.inner
-            .read_exact(&mut payload)
-            .map_err(DecodeError::Io)?;
+        let payload = self.payload(len as usize).map_err(DecodeError::Io)?;
         let kind = match Kind::from_u8(header[2]) {
             Some(k) => k,
             // header + payload consumed: framing is intact, the kind is
@@ -811,35 +875,13 @@ impl<R: Read> FrameReader<R> {
             payload: Bytes::from(payload),
         }))
     }
-
-    /// Consumes the reader, returning the stream.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
 }
 
-/// `read_exact`, except a clean EOF before the *first* byte returns
-/// `Ok(false)` instead of an error.
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(false)
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection truncated mid-frame",
-                    ))
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
+fn truncated() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "connection truncated mid-frame",
+    )
 }
 
 #[cfg(test)]
@@ -1090,6 +1132,123 @@ mod tests {
         let mut p = f.payload;
         assert_eq!(Status::from_u8(p.get_u8()), Status::Ok);
         assert_eq!(p.get_u64_le(), 3);
+    }
+
+    /// One observable outcome of [`FrameReader::read_frame`].
+    #[derive(Debug, PartialEq)]
+    enum Step {
+        Frame(Kind, u8, Vec<u8>),
+        Recoverable(Status),
+        Fatal(Status),
+        Io(io::ErrorKind),
+        Eof,
+    }
+
+    /// Reads frames until a clean EOF or a fatal error.
+    fn steps<R: Read>(rd: &mut FrameReader<R>) -> Vec<Step> {
+        let mut out = Vec::new();
+        loop {
+            let step = match rd.read_frame() {
+                Ok(Some(f)) => Step::Frame(f.kind, f.flags, f.payload.as_slice().to_vec()),
+                Ok(None) => Step::Eof,
+                Err(DecodeError::Frame(s)) => Step::Recoverable(s),
+                Err(DecodeError::Desync(s)) => Step::Fatal(s),
+                Err(DecodeError::Io(e)) => Step::Io(e.kind()),
+            };
+            let done = !matches!(step, Step::Frame(..) | Step::Recoverable(_));
+            out.push(step);
+            if done {
+                return out;
+            }
+        }
+    }
+
+    /// Hands out a byte stream in seeded random pieces of `1..=k`
+    /// bytes, with an occasional `Interrupted` in between.
+    struct Pieces {
+        data: Vec<u8>,
+        pos: usize,
+        k: u64,
+        rng: test_support::fuzz::Rng,
+    }
+
+    impl Read for Pieces {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            if self.rng.below(8) == 0 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = (1 + self.rng.below(self.k) as usize)
+                .min(out.len())
+                .min(self.data.len() - self.pos);
+            out[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_boundaries_do_not_change_frames_or_errors() {
+        let mut valid = BytesMut::new();
+        encode_request(&mut valid, &Request::Query(RangeQuery::new(3, 999)));
+        encode_request_flagged(&mut valid, Some(2), true, &Request::Seal);
+        encode_request(&mut valid, &Request::UseIndex("audit".into()));
+        // larger than the read-ahead buffer: read straight into its
+        // own allocation
+        let big: Vec<u8> = (0..READ_AHEAD + 5_000).map(|i| i as u8).collect();
+        encode_snapshot_chunk(&mut valid, &big);
+        encode_request(&mut valid, &Request::Insert(Interval::new(7, 10, 20)));
+        let valid = Vec::from(valid);
+        let expect_valid = || {
+            let mut rd = reader(valid.clone());
+            let mut v = steps(&mut rd);
+            assert_eq!(v.pop(), Some(Step::Eof));
+            assert_eq!(v.len(), 5);
+            v
+        };
+        let unknown = [MAGIC, VERSION, 0x7E, 0, 4, 0, 0, 0, 1, 2, 3, 4];
+        let mut cut = BytesMut::new();
+        encode_request(&mut cut, &Request::Query(RangeQuery::new(0, 1)));
+        let cut = &cut.as_slice()[..HEADER_LEN + 5];
+
+        let mut cases: Vec<(Vec<u8>, Vec<Step>)> = Vec::new();
+        // pipelined frames, an unknown kind, more frames, bad magic
+        let mut bytes = valid.clone();
+        bytes.extend_from_slice(&unknown);
+        bytes.extend_from_slice(&valid);
+        bytes.extend_from_slice(&[0xFF; HEADER_LEN]);
+        bytes.extend_from_slice(&valid);
+        let mut want = expect_valid();
+        want.push(Step::Recoverable(Status::BadKind));
+        want.extend(expect_valid());
+        want.push(Step::Fatal(Status::BadMagic));
+        cases.push((bytes, want));
+        // a truncated last frame: mid-payload, then mid-header
+        for keep in [cut.len(), 3] {
+            let mut bytes = valid.clone();
+            bytes.extend_from_slice(&cut[..keep]);
+            let mut want = expect_valid();
+            want.push(Step::Io(io::ErrorKind::UnexpectedEof));
+            cases.push((bytes, want));
+        }
+        // a clean EOF after the last frame
+        let mut want = expect_valid();
+        want.push(Step::Eof);
+        cases.push((valid.clone(), want));
+
+        for (bytes, want) in &cases {
+            assert_eq!(&steps(&mut reader(bytes.clone())), want);
+            for k in [1, 3, 9, 100, 70_000] {
+                for seed in 0..4 {
+                    let mut rd = FrameReader::new(Pieces {
+                        data: bytes.clone(),
+                        pos: 0,
+                        k,
+                        rng: test_support::fuzz::Rng::new(seed),
+                    });
+                    assert_eq!(&steps(&mut rd), want, "k={k} seed={seed}");
+                }
+            }
+        }
     }
 
     #[test]

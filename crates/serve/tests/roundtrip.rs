@@ -500,9 +500,27 @@ fn unknown_verbs_and_indexes_error_recoverably() {
 }
 
 /// Pipelined queries across the batch boundary come back in send order
-/// with the same results as one-at-a-time calls.
+/// with the same results as one-at-a-time calls — also when a reply
+/// over 64 KiB sits between small ones on the same connection while a
+/// second connection pipelines at the same time (the server cuts a
+/// connection's coalesced replies at 64 KiB and writes large buffers
+/// without gathering them).
 #[test]
 fn pipelined_replies_preserve_request_order() {
+    fn pipeline(client: &mut Client<DuplexTransport>, queries: &[RangeQuery], oracle: &ScanOracle) {
+        for q in queries {
+            client.send(&serve::Request::Query(*q)).unwrap();
+        }
+        for q in queries {
+            let mut got: Vec<IntervalId> = Vec::new();
+            let reply = client.recv_reply(|ids| got.extend_from_slice(ids)).unwrap();
+            assert_eq!(reply.status, Status::Ok);
+            assert_eq!(reply.count as usize, got.len());
+            got.sort_unstable();
+            assert_eq!(got, oracle.query_sorted(*q), "{q:?}");
+        }
+    }
+
     let w = fuzz::workload(0x5e4e_0006, DOM, 500, 40, 0);
     let server = start_server(
         &w.data,
@@ -510,18 +528,34 @@ fn pipelined_replies_preserve_request_order() {
         ServeConfig::fixed(8, Duration::from_micros(100)),
     );
     let mut client = connect(&server);
-    for q in &w.queries {
-        client.send(&serve::Request::Query(*q)).unwrap();
-    }
-    let oracle = ScanOracle::new(&w.data);
-    for q in &w.queries {
-        let mut got: Vec<IntervalId> = Vec::new();
-        let reply = client.recv_reply(|ids| got.extend_from_slice(ids)).unwrap();
-        assert_eq!(reply.status, Status::Ok);
-        assert_eq!(reply.count as usize, got.len());
-        got.sort_unstable();
-        assert_eq!(got, oracle.query_sorted(*q), "{q:?}");
-    }
+    pipeline(&mut client, &w.queries, &ScanOracle::new(&w.data));
     drop(client);
+    server.shutdown();
+
+    // 12k intervals: a whole-domain reply is ~96 KB
+    let w = fuzz::workload(0x5e4e_0016, DOM, 12_000, 40, 0);
+    let whole = RangeQuery::new(0, DOM - 1);
+    let oracle = ScanOracle::new(&w.data);
+    assert!(oracle.query_sorted(whole).len() * 8 > 64 * 1024);
+    let server = start_server(
+        &w.data,
+        4,
+        ServeConfig::fixed(8, Duration::from_micros(100)),
+    );
+    let mut mixed: Vec<RangeQuery> = Vec::new();
+    for (i, q) in w.queries.iter().enumerate() {
+        let small = RangeQuery::new(q.st, q.st.saturating_add(20).min(q.end));
+        mixed.push(small);
+        if i % 10 == 4 {
+            mixed.push(whole);
+        }
+    }
+    let small: Vec<RangeQuery> = mixed.iter().copied().filter(|q| *q != whole).collect();
+    let (mut a, mut b) = (connect(&server), connect(&server));
+    std::thread::scope(|s| {
+        s.spawn(|| pipeline(&mut b, &small, &oracle));
+        pipeline(&mut a, &mixed, &oracle);
+    });
+    drop((a, b));
     server.shutdown();
 }
